@@ -119,3 +119,36 @@ func TestAllocGateTrimIncrementalNonRebuild(t *testing.T) {
 		}
 	})
 }
+
+// TestAllocGateShardedApply pins the sharded dispatch hop: a synchronous
+// insert+delete Apply pair through the shard queue costs at most 4
+// allocations in steady state (the two requests' completion closures),
+// so a queue change cannot add a per-request allocation such as a timer
+// on the fast path.
+func TestAllocGateShardedApply(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := NewSharded(WithMachines(8), WithShards(shards))
+			defer s.Close()
+			for i := int64(0); i < 32; i++ {
+				if _, err := s.Apply(jobs.InsertReq(fmt.Sprintf("bg%d", i), i*64, (i+1)*64)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pair := func() {
+				if _, err := s.Apply(jobs.InsertReq("churn", 0, 64)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Apply(jobs.DeleteReq("churn")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				pair()
+			}
+			if avg := testing.AllocsPerRun(200, pair); avg > 4 {
+				t.Errorf("sharded Apply insert+delete allocates %.2f allocs/op in steady state, want <= 4", avg)
+			}
+		})
+	}
+}

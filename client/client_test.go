@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"testing"
@@ -63,8 +64,13 @@ func TestConnDropMidPipeline(t *testing.T) {
 				return
 			}
 		}
-		// One more read proves the pipeline is still full, then die.
+		// One more read proves the pipeline is still full, then die with
+		// an orderly FIN and keep draining: closing with unread submits
+		// would send an RST, and the kernel may discard the acks above
+		// before the client reads them.
 		wire.ReadFrame(nc, buf)
+		nc.(*net.TCPConn).CloseWrite()
+		io.Copy(io.Discard, nc)
 	})
 
 	base := runtime.NumGoroutine()

@@ -29,8 +29,9 @@
 // request that is still waiting when its deadline passes is rejected
 // with CodeDeadline, having mutated nothing: the coalescer checks
 // expiry when it builds a batch, and a request that travels alone also
-// propagates its deadline into the scheduler (ApplyDeadline), where
-// the shard ring enforces it while parked or queued.
+// propagates its deadline into the scheduler (ApplyDeadline), which
+// enforces it while the request is parked on a full shard queue or
+// queued behind earlier work.
 //
 // # Shutdown
 //
@@ -387,7 +388,7 @@ func (t *tenant) serve(batch []item) {
 	case 0:
 	case 1:
 		// A lone request keeps full deadline coverage: ApplyDeadline
-		// enforces expiry inside the scheduler too (ring park, queue).
+		// enforces expiry inside the scheduler too (full-queue park, queue).
 		it := &batch[idx[0]]
 		var err error
 		if it.exp.IsZero() {

@@ -6,12 +6,12 @@
 // full Theorem 1 stack). Requests route to a primary shard by consistent
 // hashing of the job name; an insert the primary rejects as infeasible
 // overflows to the least-loaded shard. Each shard runs one worker
-// goroutine fed by a bounded MPSC ring buffer (lock-free CAS producers,
-// single consumer, park/unpark on empty/full — see ring.go), so
-// independent shards serve requests in parallel and a burst against one
-// shard pipelines into batches instead of blocking the caller per
-// request. Every request's dispatch latency (enqueue to served) lands
-// in a per-shard HDR histogram surfaced through Report.
+// goroutine fed by a buffered channel, so independent shards serve
+// requests in parallel and a burst against one shard pipelines into
+// batches instead of blocking the caller per request. A send into a
+// full channel parks until the worker frees space, Close begins, or the
+// request's deadline passes. Every request's dispatch latency (enqueue
+// to served) lands in a per-shard HDR histogram surfaced through Report.
 //
 // Two request paths are exposed: Apply (and the Insert/Delete methods of
 // sched.Scheduler) is synchronous — it returns the request's cost after
@@ -56,7 +56,7 @@ import (
 var ErrClosed = fault.ErrClosed
 
 // ErrDeadlineExceeded reports a request whose deadline passed before
-// its shard worker executed it — while parked on a full ring, or while
+// its shard worker executed it — while parked on a full queue, or while
 // queued behind earlier work. Such a request never reaches the inner
 // scheduler, mutates nothing, and (under a WAL) is never logged, so a
 // deadline rejection needs no compensation on either side. It aliases
@@ -80,7 +80,8 @@ const (
 	noShard = -3
 )
 
-// defaultBuffer is the per-shard request ring capacity.
+// defaultBuffer is the per-shard request queue capacity: how far a burst
+// may run ahead of its worker (four maxBatch wakeups) before senders park.
 const defaultBuffer = 256
 
 // maxBatch bounds how many queued requests a worker drains per wakeup.
@@ -120,8 +121,7 @@ type Config struct {
 	// Policy routes job names to primary shards (default: consistent
 	// hash ring with DefaultReplicas virtual nodes).
 	Policy Policy
-	// Buffer is the per-shard request ring capacity (default 256,
-	// rounded up to a power of two).
+	// Buffer is the per-shard request queue capacity (default 256).
 	Buffer int
 	// BatchSize is the preferred bulk-admission chunk size reported by
 	// Scheduler.BatchSize (0 means 1, i.e. no auto-chunking; negative
@@ -175,13 +175,17 @@ type Scheduler struct {
 	resizeMu sync.Mutex
 
 	// sendMu serializes request sends against Close: senders hold the
-	// read side, Close holds the write side while closing channels.
+	// read side, Close holds the write side while closing the queues.
+	// Close first closes closing, so a sender parked on a full queue
+	// lets go of the read side instead of holding Close off.
 	// closed is atomic so fast-path pre-checks (dispatch, ApplyBatch,
 	// SubmitResize) read it without touching sendMu; it is only ever set
 	// under the sendMu write lock, so a sender holding the read lock
 	// that observes it false is guaranteed the channels are still open.
-	sendMu sync.RWMutex
-	closed atomic.Bool
+	sendMu    sync.RWMutex
+	closed    atomic.Bool
+	closing   chan struct{}
+	closeOnce sync.Once
 
 	// pendMu/pendCond/pendN track outstanding Submit requests. A plain
 	// WaitGroup cannot be used: Submit may Add while another goroutine
@@ -203,7 +207,7 @@ type Scheduler struct {
 var _ sched.Scheduler = (*Scheduler)(nil)
 
 // worker owns one shard: its inner scheduler, machine range, request
-// ring, and statistics. Only the worker goroutine touches inner and
+// queue, and statistics. Only the worker goroutine touches inner and
 // stats after startup. base is guarded by rangeMu; machines is atomic
 // because worker-side code (the overflow load heuristic) reads it and
 // must never block on rangeMu — a resize holds that lock while waiting
@@ -216,7 +220,7 @@ type worker struct {
 	base     int          // global index of the shard's first machine
 	machines atomic.Int64 // current machine count
 	inner    sched.Scheduler
-	ring     *ring
+	queue    chan task
 	done     chan struct{}
 	lat      *hdr.Histogram
 	stats    metrics.ShardCost
@@ -226,10 +230,10 @@ type task struct {
 	req      jobs.Request
 	overflow bool
 	// enq is when the task entered the dispatch boundary (just before
-	// its ring push, so a push blocked on a full ring counts as queue
-	// delay); the worker records served-enq into the shard's latency
-	// histogram. It is monotonic nanoseconds since the package epoch —
-	// one clock read, no wall-time component, 8 bytes in the ring slot.
+	// its send, so a send parked on a full queue counts as queue delay);
+	// the worker records served-enq into the shard's latency histogram.
+	// It is monotonic nanoseconds since the package epoch — one clock
+	// read, no wall-time component.
 	enq int64
 	// retryable marks a primary insert that the front-end will retry on
 	// a fallback shard if this shard rejects it as infeasible; such a
@@ -240,7 +244,7 @@ type task struct {
 	// client request.
 	resizeMove bool
 	// deadline is the request's absolute expiry in monotonicNS (0 =
-	// none). It bounds both the full-ring park (push fails with
+	// none). It bounds both the full-queue park (send fails with
 	// ErrDeadlineExceeded instead of blocking past it) and queue time
 	// (the worker rejects an expired task instead of executing it).
 	deadline int64
@@ -301,6 +305,7 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 		loads:     make([]int, len(perShard)),
 		inflight:  make([]int, len(perShard)),
 		log:       cfg.WAL,
+		closing:   make(chan struct{}),
 	}
 	s.pendCond = sync.NewCond(&s.pendMu)
 	base := 0
@@ -309,7 +314,7 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 			idx:   i,
 			base:  base,
 			inner: cfg.Factory(m),
-			ring:  newRing(cfg.Buffer),
+			queue: make(chan task, cfg.Buffer),
 			done:  make(chan struct{}),
 			lat:   hdr.New(),
 		}
@@ -323,23 +328,17 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 	return s
 }
 
-// run is the shard worker loop: park until the ring has work, then
-// serve up to maxBatch queued tasks back to back per wakeup.
+// run is the shard worker loop: park until the queue has work, then
+// serve up to maxBatch queued tasks back to back per wakeup. It exits
+// once Close has closed the queue and every queued task is served. The
+// worker is the queue's only receiver, so a nonzero len never blocks.
 func (w *worker) run() {
 	defer close(w.done)
-	for {
-		t, ok := w.ring.popWait()
-		if !ok {
-			return
-		}
+	for t := range w.queue {
 		w.stats.Batches++
 		w.exec(t)
-		for n := 1; n < maxBatch; n++ {
-			t, ok := w.ring.pop()
-			if !ok {
-				break
-			}
-			w.exec(t)
+		for n := 1; n < maxBatch && len(w.queue) > 0; n++ {
+			w.exec(<-w.queue)
 		}
 	}
 }
@@ -427,10 +426,10 @@ func (s *Scheduler) trackedID(name string) (ident.ID, int, bool) {
 	return id, v, ok
 }
 
-// send enqueues a task on shard i, blocking when the shard's ring is
+// send enqueues a task on shard i, parking when the shard's queue is
 // full (backpressure). It fails with ErrClosed after Close, and with
 // ErrDeadlineExceeded when the task's deadline expires while parked on
-// the full ring.
+// the full queue.
 //
 //reallocvet:hotpath
 func (s *Scheduler) send(i int, t task) error {
@@ -440,7 +439,37 @@ func (s *Scheduler) send(i int, t task) error {
 		return ErrClosed
 	}
 	t.enq = monotonicNS()
-	return s.workers[i].ring.push(t)
+	q := s.workers[i].queue
+	select {
+	case q <- t:
+		return nil
+	default:
+		return s.park(q, t)
+	}
+}
+
+// park blocks a send on a full queue until the worker frees space, Close
+// begins (ErrClosed), or the task's deadline passes (ErrDeadlineExceeded,
+// at once if it already has). Only a parked send pays for a timer.
+func (s *Scheduler) park(q chan<- task, t task) error {
+	var expired <-chan time.Time
+	if t.deadline != 0 {
+		remain := t.deadline - monotonicNS()
+		if remain <= 0 {
+			return ErrDeadlineExceeded
+		}
+		timer := time.NewTimer(time.Duration(remain))
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case q <- t:
+		return nil
+	case <-s.closing:
+		return ErrClosed
+	case <-expired:
+		return ErrDeadlineExceeded
+	}
 }
 
 // epoch anchors the monotonic clock used for dispatch-latency stamps.
@@ -514,7 +543,7 @@ func (s *Scheduler) Apply(r jobs.Request) (metrics.Cost, error) {
 }
 
 // ApplyDeadline is Apply with a request deadline: if timeout elapses
-// before a shard worker picks the request up — parked on a full ring,
+// before a shard worker picks the request up — parked on a full queue,
 // or queued behind earlier work — the request fails with
 // ErrDeadlineExceeded, having mutated nothing. Execution itself is
 // never interrupted: once a worker starts the request it runs to
@@ -638,8 +667,8 @@ func (s *Scheduler) dispatch(r jobs.Request, finish func(metrics.Cost, error)) e
 }
 
 // dispatchTimed is dispatch with an absolute monotonicNS deadline (0 =
-// none) carried into the task so both the ring park and the worker's
-// pre-execution check can honor it.
+// none) carried into the task so both the full-queue park and the
+// worker's pre-execution check can honor it.
 func (s *Scheduler) dispatchTimed(r jobs.Request, deadline int64, finish func(metrics.Cost, error)) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -1428,11 +1457,13 @@ func (s *Scheduler) Checkpoint() error {
 }
 
 // Close drains outstanding asynchronous requests, stops every shard
-// worker, closes the attached WAL (if any), and releases the request
-// channels. Requests after Close fail with ErrClosed. Close is
+// worker once it has served every queued task, and closes the attached
+// WAL (if any). A send still parked on a full queue once the drain is
+// done, and every request after Close, fails with ErrClosed. Close is
 // idempotent.
 func (s *Scheduler) Close() {
 	s.pendWait()
+	s.closeOnce.Do(func() { close(s.closing) })
 	s.sendMu.Lock()
 	if s.closed.Load() {
 		s.sendMu.Unlock()
@@ -1440,7 +1471,7 @@ func (s *Scheduler) Close() {
 	}
 	s.closed.Store(true)
 	for _, w := range s.workers {
-		w.ring.close()
+		close(w.queue)
 	}
 	s.sendMu.Unlock()
 	for _, w := range s.workers {
