@@ -1,6 +1,6 @@
 // Full-queue behaviour: a send into a full shard queue parks until the
 // worker frees space, its deadline passes, or Close begins. Each test
-// stalls the worker with blockWorker and fills a small Config.Buffer.
+// stalls the worker with stallWorker and fills a small Config.Buffer.
 package shard
 
 import (
@@ -26,6 +26,26 @@ func waitQueueLen(t *testing.T, s *Scheduler, i, n int) {
 	}
 }
 
+// stallWorker stalls shard i's worker with blockWorker until the
+// returned release runs. release is idempotent and also runs at test
+// cleanup, ahead of cleanups registered earlier (such as s.Close), so a
+// failing test cannot leave Close waiting on a stalled worker.
+func stallWorker(t *testing.T, s *Scheduler, i int) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	wg := blockWorker(t, s, i, gate)
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(gate)
+			wg.Wait()
+		})
+	}
+	t.Cleanup(release)
+	waitQueueLen(t, s, i, 0)
+	return release
+}
+
 // settle waits for a result from ch, failing the test after 2s.
 func settle(t *testing.T, ch <-chan error, what string) error {
 	t.Helper()
@@ -38,58 +58,182 @@ func settle(t *testing.T, ch <-chan error, what string) error {
 	}
 }
 
-// TestFullQueueBlocksThenFIFO: a send into a full queue parks until the
-// worker frees space, then completes (its distant deadline does not
-// fire), and the worker serves the queued and the parked request in
-// send order.
-func TestFullQueueBlocksThenFIFO(t *testing.T) {
-	s := New(Config{Shards: 1, Machines: 2, Factory: stackFactory, Buffer: 2})
-	t.Cleanup(s.Close)
-	gate := make(chan struct{})
-	wg := blockWorker(t, s, 0, gate)
-	waitQueueLen(t, s, 0, 0)
+// servedLog records the order in which the worker finishes requests
+// sent through dispatch, failing the test on any request error.
+type servedLog struct {
+	t      *testing.T
+	mu     sync.Mutex
+	order  []string
+	served sync.WaitGroup
+}
 
-	var mu sync.Mutex
-	var order []string
-	var served sync.WaitGroup
-	record := func(name string) func(metrics.Cost, error) {
-		served.Add(1)
-		return func(_ metrics.Cost, err error) {
-			if err != nil {
-				t.Errorf("%s: %v", name, err)
-			}
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-			served.Done()
+// finish returns a dispatch callback that logs name once served.
+func (l *servedLog) finish(name string) func(metrics.Cost, error) {
+	l.served.Add(1)
+	return func(_ metrics.Cost, err error) {
+		if err != nil {
+			l.t.Errorf("%s: %v", name, err)
+		}
+		l.mu.Lock()
+		l.order = append(l.order, name)
+		l.mu.Unlock()
+		l.served.Done()
+	}
+}
+
+// wantOrder waits for every logged request and checks the served order.
+func (l *servedLog) wantOrder(want ...string) {
+	l.t.Helper()
+	done := make(chan struct{})
+	go func() {
+		l.served.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		l.t.Fatal("a sent request was never served")
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.order) != len(want) {
+		l.t.Fatalf("served order %v, want %v", l.order, want)
+	}
+	for i := range want {
+		if l.order[i] != want[i] {
+			l.t.Fatalf("served order %v, want %v", l.order, want)
 		}
 	}
-	for _, name := range []string{"a", "b"} {
-		if err := s.dispatch(jobs.InsertReq(name, 0, 64), record(name)); err != nil {
+}
+
+// sendAll dispatches each name as an insert into a queue with room.
+func sendAll(t *testing.T, s *Scheduler, l *servedLog, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		if err := s.dispatch(jobs.InsertReq(name, 0, 64), l.finish(name)); err != nil {
 			t.Fatalf("send %s into a queue with room: %v", name, err)
 		}
 	}
-	parked := make(chan error, 1)
-	finishC := record("c")
-	deadline := monotonicNS() + int64(5*time.Second)
-	go func() { parked <- s.dispatchTimed(jobs.InsertReq("c", 0, 64), deadline, finishC) }()
+}
+
+// wantParked fails the test if ch settles within 20ms: the send that
+// reports on ch must still be parked on a full queue.
+func wantParked(t *testing.T, ch <-chan error) {
+	t.Helper()
 	select {
-	case err := <-parked:
+	case err := <-ch:
 		t.Fatalf("send into a full queue returned %v, want it to park", err)
 	case <-time.After(20 * time.Millisecond):
 	}
+}
 
-	close(gate)
+// The TestRing* tests below keep the names they had when the per-shard
+// queue was a hand-rolled ring buffer; they pin the same properties on
+// the buffered channel that replaced it.
+
+// TestRingFIFOSingleProducer: one producer's requests are served in the
+// order it sent them.
+func TestRingFIFOSingleProducer(t *testing.T) {
+	s := New(Config{Shards: 1, Machines: 2, Factory: stackFactory, Buffer: 8})
+	t.Cleanup(s.Close)
+	release := stallWorker(t, s, 0)
+
+	l := &servedLog{t: t}
+	want := []string{"a", "b", "c", "d", "e"}
+	sendAll(t, s, l, want...)
+	waitQueueLen(t, s, 0, len(want))
+	release()
+	l.wantOrder(want...)
+	waitQueueLen(t, s, 0, 0)
+	if n := s.Active(); n != len(want) {
+		t.Fatalf("Active() = %d, want %d", n, len(want))
+	}
+}
+
+// TestRingBackpressure: a send into a full queue parks until the worker
+// frees space, then completes, and is served after the requests queued
+// before it.
+func TestRingBackpressure(t *testing.T) {
+	s := New(Config{Shards: 1, Machines: 2, Factory: stackFactory, Buffer: 2})
+	t.Cleanup(s.Close)
+	release := stallWorker(t, s, 0)
+
+	l := &servedLog{t: t}
+	sendAll(t, s, l, "1", "2")
+	parked := make(chan error, 1)
+	finish3 := l.finish("3")
+	go func() { parked <- s.dispatch(jobs.InsertReq("3", 0, 64), finish3) }()
+	wantParked(t, parked)
+
+	release()
 	if err := settle(t, parked, "parked send"); err != nil {
 		t.Fatalf("parked send after the worker freed space = %v, want nil", err)
 	}
-	wg.Wait()
-	served.Wait()
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("served order %v, want [a b c]", order)
-	}
+	l.wantOrder("1", "2", "3")
 	if n := s.Active(); n != 3 {
 		t.Fatalf("Active() = %d, want 3", n)
+	}
+}
+
+// TestRingDeadlineSurvivesSpaceRace: a parked send with a distant
+// deadline that wakes on freed space (not its timer) still completes
+// and is served.
+func TestRingDeadlineSurvivesSpaceRace(t *testing.T) {
+	s := New(Config{Shards: 1, Machines: 2, Factory: stackFactory, Buffer: 2})
+	t.Cleanup(s.Close)
+	release := stallWorker(t, s, 0)
+
+	l := &servedLog{t: t}
+	sendAll(t, s, l, "1", "2")
+	parked := make(chan error, 1)
+	finish3 := l.finish("3")
+	deadline := monotonicNS() + int64(5*time.Second)
+	go func() { parked <- s.dispatchTimed(jobs.InsertReq("3", 0, 64), deadline, finish3) }()
+	wantParked(t, parked)
+
+	release()
+	if err := settle(t, parked, "parked send with a deadline"); err != nil {
+		t.Fatalf("parked send woken by freed space = %v, want nil", err)
+	}
+	l.wantOrder("1", "2", "3")
+}
+
+// TestRingCloseDrains: Close serves every request queued before it
+// began, in send order, before it stops the worker, and a send after
+// Close began fails with ErrClosed.
+func TestRingCloseDrains(t *testing.T) {
+	s := New(Config{Shards: 1, Machines: 2, Factory: stackFactory, Buffer: 8})
+	release := stallWorker(t, s, 0)
+
+	l := &servedLog{t: t}
+	sendAll(t, s, l, "a", "b", "c")
+	closed := make(chan error, 1)
+	go func() {
+		s.Close()
+		closed <- nil
+	}()
+	for end := time.Now().Add(2 * time.Second); !s.isClosed(); {
+		if time.Now().After(end) {
+			t.Fatal("Close never marked the scheduler closed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.dispatch(jobs.InsertReq("late", 0, 64), func(metrics.Cost, error) {
+		t.Error("a send after Close reached the worker")
+	}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send after Close began = %v, want ErrClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while its worker still had queued work")
+	default:
+	}
+
+	release()
+	settle(t, closed, "Close")
+	l.wantOrder("a", "b", "c")
+	if n := s.Active(); n != 3 {
+		t.Fatalf("Active() = %d after Close, want 3 (the queued inserts)", n)
 	}
 }
 
@@ -107,9 +251,7 @@ func TestApplyDeadlineParkedOnFullQueue(t *testing.T) {
 	if _, err := s.Apply(jobs.InsertReq("kept", 0, 64)); err != nil {
 		t.Fatalf("insert kept: %v", err)
 	}
-	gate := make(chan struct{})
-	wg := blockWorker(t, s, 0, gate)
-	waitQueueLen(t, s, 0, 0)
+	release := stallWorker(t, s, 0)
 	if err := s.Submit(jobs.InsertReq("filler", 0, 64)); err != nil {
 		t.Fatalf("submit filler: %v", err)
 	}
@@ -143,8 +285,7 @@ func TestApplyDeadlineParkedOnFullQueue(t *testing.T) {
 	}
 	s.mu.RUnlock()
 
-	close(gate)
-	wg.Wait()
+	release()
 	if err := s.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -172,14 +313,13 @@ func TestApplyDeadlineParkedOnFullQueue(t *testing.T) {
 	}
 }
 
-// TestCloseWakesParkedSender: a sender parked on a full queue fails with
-// ErrClosed once Close begins, while Close still serves the task that
-// was already queued before it stops the worker.
-func TestCloseWakesParkedSender(t *testing.T) {
+// TestRingCloseWakesBlockedProducer: a sender parked on a full queue
+// fails with ErrClosed once Close begins instead of hanging, while Close
+// still serves the task that was already queued before it stops the
+// worker.
+func TestRingCloseWakesBlockedProducer(t *testing.T) {
 	s := New(Config{Shards: 1, Machines: 2, Factory: stackFactory, Buffer: 1})
-	gate := make(chan struct{})
-	wg := blockWorker(t, s, 0, gate)
-	waitQueueLen(t, s, 0, 0)
+	release := stallWorker(t, s, 0)
 	queued := make(chan error, 1)
 	if err := s.dispatch(jobs.InsertReq("queued", 0, 64), func(_ metrics.Cost, err error) { queued <- err }); err != nil {
 		t.Fatalf("send into a queue with room: %v", err)
@@ -190,11 +330,7 @@ func TestCloseWakesParkedSender(t *testing.T) {
 		_, err := s.Apply(jobs.InsertReq("parked", 0, 64))
 		parked <- err
 	}()
-	select {
-	case err := <-parked:
-		t.Fatalf("send into a full queue returned %v, want it to park", err)
-	case <-time.After(20 * time.Millisecond):
-	}
+	wantParked(t, parked)
 
 	closed := make(chan error, 1)
 	go func() {
@@ -210,8 +346,7 @@ func TestCloseWakesParkedSender(t *testing.T) {
 	default:
 	}
 
-	close(gate)
-	wg.Wait()
+	release()
 	settle(t, closed, "Close")
 	if err := settle(t, queued, "queued request"); err != nil {
 		t.Fatalf("request queued before Close = %v, want it served", err)
